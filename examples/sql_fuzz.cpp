@@ -1,7 +1,11 @@
 // Differential SQL fuzzer: generates seeded random queries inside the
-// supported subset (sql/fuzz.h), runs each on Tectorwise and on the
-// Volcano oracle, and exits nonzero on the first mismatch — CI runs this
-// as a smoke test; longer sweeps are a command-line flag away.
+// supported subset (sql/fuzz.h), runs each fully optimized on Tectorwise
+// and, compiled without join ordering and eager aggregation
+// (sql::kFuzzOracleOptions), on the Volcano oracle, and exits nonzero on
+// any mismatch — CI runs this as a smoke test; longer sweeps are a
+// command-line flag away. A sweep of 50 or more seeds also fails when no
+// seed took the eager-aggregation path, since it would then say nothing
+// about that rewrite.
 //
 //   ./sql_fuzz [--seed 1] [--n 200] [--sf 0.01] [--ssb] [--threads 4] [-v]
 //
@@ -51,23 +55,27 @@ int main(int argc, char** argv) {
   const vcq::runtime::QueryParams no_params;
 
   int mismatches = 0;
+  int eager = 0;
   for (uint64_t s = seed; s < seed + static_cast<uint64_t>(n); ++s) {
     const std::string text = vcq::sql::GenerateFuzzQuery(*catalog, s);
     if (verbose) std::printf("-- seed %llu\n%s\n",
                              static_cast<unsigned long long>(s), text.c_str());
     const vcq::sql::CompileResult compiled = vcq::sql::Compile(catalog, text);
-    if (!compiled.ok()) {
+    const vcq::sql::CompileResult oracle =
+        vcq::sql::Compile(catalog, text, vcq::sql::kFuzzOracleOptions);
+    if (!compiled.ok() || !oracle.ok()) {
       // Generated queries compile by construction — a reject is a bug.
       std::fprintf(stderr, "seed %llu FAILED to compile:\n%s\n%s\n",
                    static_cast<unsigned long long>(s), text.c_str(),
-                   compiled.error->Format().c_str());
+                   (compiled.ok() ? oracle : compiled).error->Format().c_str());
       ++mismatches;
       continue;
     }
+    if (compiled.query->plan().pre_agg_table >= 0) ++eager;
     const vcq::runtime::QueryResult tw =
         compiled.query->LowerTectorwise().Run(tw_opt, no_params);
     const vcq::runtime::QueryResult volcano =
-        compiled.query->RunVolcano(volcano_opt, no_params);
+        oracle.query->RunVolcano(volcano_opt, no_params);
     if (tw != volcano) {
       std::fprintf(stderr,
                    "seed %llu MISMATCH:\n%s\n-- tectorwise --\n%s"
@@ -81,6 +89,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "sql_fuzz: %d/%d seeds disagreed\n", mismatches, n);
     return 1;
   }
-  std::printf("sql_fuzz: %d seeds, zero mismatches\n", n);
+  if (eager == 0 && n >= 50) {
+    std::fprintf(stderr, "sql_fuzz: no seed used eager aggregation\n");
+    return 1;
+  }
+  std::printf("sql_fuzz: %d seeds (%d eager-aggregated), zero mismatches\n",
+              n, eager);
   return 0;
 }

@@ -299,12 +299,14 @@ size_t SqlEstimatedBuildBytes(const sql::PhysicalPlan& plan) {
     if (t.IsLeaf()) {
       return plan.query.Table(static_cast<uint32_t>(t.table)).tuple_count;
     }
+    if (t.IsPreAgg()) return leaf_tuples(*t.input);
     return leaf_tuples(*t.build) + leaf_tuples(*t.probe);
   };
   size_t bytes = 0;
   const std::function<void(const sql::JoinTree&)> walk =
       [&](const sql::JoinTree& t) {
         if (t.IsLeaf()) return;
+        if (t.IsPreAgg()) return walk(*t.input);
         bytes += leaf_tuples(*t.build) * kBytesPerBuildTuple;
         walk(*t.build);
         walk(*t.probe);

@@ -156,18 +156,28 @@
 //
 // The pipeline is lexer → recursive-descent parser → AST → binder (typed
 // logical plan against a sql::Catalog derived from the database schema,
-// with per-column min/max statistics) → optimizer (constant folding,
-// predicate pushdown, greedy smallest-intermediate join ordering) →
+// with per-column min/max statistics and the primary keys it declares by
+// column name and verifies unique at construction) → optimizer (checked
+// constant folding, predicate pushdown, greedy smallest-intermediate join
+// ordering with key-aware FK ⋈ PK estimates, and eager aggregation: a
+// pre-aggregate below the joins when every aggregate reads one input, with
+// the final GROUP BY dropped and HAVING pushed down when verified keys make
+// each pre-aggregated row one final group — the hand-built Q18 shape) →
 // lowering onto the same tectorwise::PlanBuilder DAG the catalog queries
 // use — so SQL-prepared queries inherit the whole runtime stack above
-// (scheduler, governor, spill, degradation, tuning) unchanged. `$name`
+// (scheduler, governor, spill, degradation, tuning) unchanged; EXPLAIN
+// ANALYZE of a SQL handle prints the optimizer's est= beside each node's
+// measured rows=. Constant arithmetic that overflows int64 is a compile
+// error, not a wrapped value. `$name`
 // placeholders become named parameters with NO defaults; every one must
 // be bound before Execute. Malformed SQL check-fails at PrepareSql with a
 // 1-based line:column diagnostic and never reaches Execute (sql::Compile
 // is the recoverable-error variant). Engines: kTectorwise, and kVolcano
 // as the single-threaded differential oracle — tests/sql_differential_
 // test.cc and the seeded fuzz harness (sql/fuzz.h, examples/sql_fuzz.cpp)
-// hold the two to byte-identical results; kTyper cannot run ad-hoc SQL
+// hold the two to byte-identical results, the fuzz oracle compiled
+// without join ordering and eager aggregation so those rewrites are
+// checked rather than shared; kTyper cannot run ad-hoc SQL
 // (its pipelines are ahead-of-time compiled per catalog query). Try
 // examples/sql_shell.cpp for an interactive front end.
 //

@@ -247,23 +247,6 @@ class Binder {
     return s;
   }
 
-  /// Evaluates a table-free scalar to its constant value.
-  int64_t EvalConst(const Scalar& s) {
-    switch (s.op) {
-      case ScalarOp::kConst:
-        return s.value;
-      case ScalarOp::kAdd:
-        return EvalConst(s.args[0]) + EvalConst(s.args[1]);
-      case ScalarOp::kSub:
-        return EvalConst(s.args[0]) - EvalConst(s.args[1]);
-      case ScalarOp::kMul:
-        return EvalConst(s.args[0]) * EvalConst(s.args[1]);
-      default:
-        VCQ_CHECK_MSG(false, "not a constant expression");
-    }
-    return 0;
-  }
-
   // ---- parameters ----
 
   void DeclareParam(const std::string& name, runtime::ParamType type,

@@ -1,8 +1,10 @@
 #include "sql/catalog.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "common/check.h"
 #include "runtime/types.h"
@@ -28,6 +30,16 @@ const std::set<std::string_view>& DateColumns() {
   return *cols;
 }
 
+// Declared primary keys (one per table at most). The composite key is
+// listed by its columns in order.
+const std::vector<std::vector<std::string_view>>& DeclaredKeys() {
+  static const auto* keys = new std::vector<std::vector<std::string_view>>{
+      {"c_custkey"},   {"o_orderkey"},  {"p_partkey"},
+      {"s_suppkey"},   {"n_nationkey"}, {"r_regionkey"},
+      {"d_datekey"},   {"ps_partkey", "ps_suppkey"}};
+  return *keys;
+}
+
 SqlType TypeFor(std::string_view name, runtime::TypeTag tag) {
   if (tag == runtime::TypeTag::kChar || tag == runtime::TypeTag::kVarchar)
     return SqlType{TypeKind::kString, 0};
@@ -50,6 +62,89 @@ ColumnStats ScanStats(std::span<const T> data) {
   s.max = static_cast<int64_t>(hi);
   s.valid = true;
   return s;
+}
+
+size_t SampledNdv(const Catalog& catalog, const TableDef& table,
+                  const ColumnDef& col) {
+  constexpr size_t kSample = 4096;
+  const size_t n = table.tuple_count;
+  const size_t sample = std::min(n, kSample);
+  std::set<std::string> seen;
+  for (size_t i = 0; i < sample; ++i)
+    seen.insert(SampleString(catalog, table, col, i * n / sample));
+  if (sample == n || seen.size() * 16 <= sample) return seen.size();
+  return 0;
+}
+
+/// Calls `f(int64_t)` on every value of integer column `def`, in row order.
+template <typename F>
+void ForEachInt(const runtime::Relation& rel, const ColumnDef& def, F&& f) {
+  if (def.tag == runtime::TypeTag::kInt32) {
+    for (const int32_t v : rel.Col<int32_t>(def.name)) f(v);
+  } else {
+    for (const int64_t v : rel.Col<int64_t>(def.name)) f(v);
+  }
+}
+
+/// True when no two rows of `rel` agree on every column of `key`. A key
+/// whose domain is too wide for the check (a bitmap over more than 64 bits
+/// per row, or a composite column spanning more than 32 bits) counts as
+/// not unique: an unverified key is only a missed optimization.
+bool IsUnique(const runtime::Relation& rel, const TableDef& table,
+              const std::vector<uint32_t>& key) {
+  const size_t n = rel.tuple_count();
+  const auto span = [](const ColumnDef& c) {
+    return static_cast<uint64_t>(c.stats.max) -
+           static_cast<uint64_t>(c.stats.min);
+  };
+  if (key.size() == 1) {
+    const ColumnDef& c = table.columns[key[0]];
+    if (span(c) >= 64 * static_cast<uint64_t>(n)) return false;
+    std::vector<uint64_t> seen(span(c) / 64 + 1);
+    bool unique = true;
+    ForEachInt(rel, c, [&](int64_t v) {
+      const uint64_t bit = static_cast<uint64_t>(v - c.stats.min);
+      uint64_t& word = seen[bit / 64];
+      const uint64_t mask = uint64_t{1} << (bit % 64);
+      unique &= (word & mask) == 0;
+      word |= mask;
+    });
+    return unique;
+  }
+  // Composite: each row's two offsets from their minimums packed into one
+  // word, sorted, checked for neighbours that repeat.
+  const ColumnDef& a = table.columns[key[0]];
+  const ColumnDef& b = table.columns[key[1]];
+  if (span(a) > UINT32_MAX || span(b) > UINT32_MAX) return false;
+  std::vector<uint64_t> packed;
+  packed.reserve(n);
+  ForEachInt(rel, a, [&](int64_t v) {
+    packed.push_back(static_cast<uint64_t>(v - a.stats.min) << 32);
+  });
+  size_t i = 0;
+  ForEachInt(rel, b, [&](int64_t v) {
+    packed[i++] |= static_cast<uint64_t>(v - b.stats.min);
+  });
+  std::sort(packed.begin(), packed.end());
+  return std::adjacent_find(packed.begin(), packed.end()) == packed.end();
+}
+
+/// The table's declared key, if all its columns exist as integer columns
+/// and their values are unique; empty otherwise.
+std::vector<uint32_t> VerifiedKey(const runtime::Relation& rel,
+                                  const TableDef& table) {
+  for (const auto& names : DeclaredKeys()) {
+    std::vector<uint32_t> key;
+    for (const std::string_view name : names) {
+      const size_t i = table.IndexOf(name);
+      if (i == SIZE_MAX || !table.columns[i].stats.valid) break;
+      key.push_back(static_cast<uint32_t>(i));
+    }
+    if (key.size() != names.size()) continue;
+    if (IsUnique(rel, table, key)) return key;
+    return {};
+  }
+  return {};
 }
 
 }  // namespace
@@ -95,8 +190,11 @@ Catalog::Catalog(const runtime::Database& db) : db_(&db) {
         def.stats = ScanStats(rel.Col<int32_t>(col));
       else if (meta.tag == runtime::TypeTag::kInt64)
         def.stats = ScanStats(rel.Col<int64_t>(col));
+      else
+        def.stats.string_ndv = SampledNdv(*this, table, def);
       table.columns.push_back(std::move(def));
     }
+    table.key = VerifiedKey(rel, table);
     tables_.push_back(std::move(table));
   }
 }

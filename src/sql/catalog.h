@@ -18,6 +18,18 @@
 // schemas by column name — the one place in the library where column-name
 // conventions carry meaning — and scans per-column min/max statistics once
 // at construction for the optimizer's cardinality model.
+//
+// Primary keys are declared the same way, by column name: c_custkey,
+// o_orderkey, p_partkey, s_suppkey, n_nationkey, r_regionkey, d_datekey and
+// the composite (ps_partkey, ps_suppkey). A declaration is a claim about the
+// generators, not about whatever Database the catalog is handed, so
+// construction verifies each declared key once — a bitmap over [min, max]
+// for a single column, a sort of packed pairs for the composite — and drops
+// a key whose values repeat (or whose domain is too wide for that check).
+// Only verified keys reach TableDef::key, and
+// the optimizer trusts nothing else: key-aware join estimates and the
+// eager-aggregation rewrite that removes the final GROUP BY both rest on
+// it (optimizer.h).
 
 namespace vcq::sql {
 
@@ -45,10 +57,17 @@ std::string TypeName(const SqlType& t);
 /// Min/max over an integer column, scanned once at catalog build. The
 /// optimizer derives distinct-count estimates as max-min+1 clamped to the
 /// table cardinality; `valid` is false for string columns.
+///
+/// String columns instead get `string_ndv` from an evenly strided sample
+/// of at most 4096 rows: the exact distinct count when the sample is the
+/// whole table, the sample's count when it is at most 1/16 of the sample
+/// size (a low-cardinality domain the sample has almost surely seen in
+/// full), else 0 = unknown.
 struct ColumnStats {
   int64_t min = 0;
   int64_t max = 0;
   bool valid = false;
+  size_t string_ndv = 0;
 };
 
 struct ColumnDef {
@@ -63,6 +82,9 @@ struct TableDef {
   std::string name;
   size_t tuple_count = 0;
   std::vector<ColumnDef> columns;
+  /// Verified primary key: indexes into `columns`, empty when the table
+  /// declares none or its declared key failed the uniqueness check.
+  std::vector<uint32_t> key;
 
   const ColumnDef* Find(std::string_view column) const;
   /// Index into `columns`, or SIZE_MAX.
@@ -70,7 +92,8 @@ struct TableDef {
 };
 
 /// Bound schema + statistics over one runtime::Database. Construction
-/// scans every integer column once for min/max; share one catalog across
+/// scans every integer column once for min/max and verifies the declared
+/// primary keys; share one catalog across
 /// compilations of the same database (MakeCatalog returns a shared_ptr and
 /// CompiledQuery keeps it alive).
 class Catalog {

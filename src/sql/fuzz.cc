@@ -65,6 +65,7 @@ class Generator {
           tail += group_keys_[i]->name;
         }
         tail += "\n";
+        if (Chance(40)) tail += "HAVING " + HavingPredicate() + "\n";
       }
     }
     std::string sql = "SELECT " + select + "\nFROM ";
@@ -209,6 +210,19 @@ class Generator {
 
   void PickGroupKeys() {
     const size_t want = Uniform(1, 2);
+    // Grouping on a join column (the shape of TPC-H Q18's o_orderkey) is
+    // what lets eager aggregation drop the final aggregation, so favour it.
+    if (!join_conds_.empty() && Chance(40)) {
+      // A condition reads "a = b" or "a = b AND c = d": take a or b.
+      const std::string& cond =
+          join_conds_[Uniform(0, join_conds_.size() - 1)];
+      const size_t eq = cond.find(" = ");
+      const size_t end = cond.find(' ', eq + 3);  // npos: to the end
+      const std::string name = Chance(50) ? cond.substr(0, eq)
+                                          : cond.substr(eq + 3, end - eq - 3);
+      for (const ColumnDef* col : columns_)
+        if (col->name == name) group_keys_.push_back(col);
+    }
     for (size_t tries = 0; group_keys_.size() < want && tries < 8; ++tries) {
       const ColumnDef* col = columns_[Uniform(0, columns_.size() - 1)];
       if (std::find(group_keys_.begin(), group_keys_.end(), col) !=
@@ -228,6 +242,23 @@ class Generator {
       return a->name + (Chance(50) ? " + " : " - ") + b->name;
     }
     return a->name;
+  }
+
+  /// An aggregate CMP literal: COUNT(*) against a small count, or SUM/MIN/MAX
+  /// of a numeric column against a value from the column's range. The
+  /// aggregate need not be in the select list (the binder then adds a
+  /// hidden one).
+  std::string HavingPredicate() {
+    static constexpr const char* kOps[] = {"<", "<=", ">", ">="};
+    const char* op = kOps[Uniform(0, 3)];
+    const ColumnDef* col =
+        numerics_.empty() ? nullptr : numerics_[Uniform(0, numerics_.size() - 1)];
+    if (col == nullptr || !col->stats.valid || Chance(40))
+      return std::string("COUNT(*) ") + op + " " + std::to_string(Uniform(1, 4));
+    static constexpr const char* kFns[] = {"SUM", "MIN", "MAX"};
+    return std::string(kFns[Uniform(0, 2)]) + "(" + col->name + ") " + op +
+           " " +
+           LitText(Uniform64(col->stats.min, col->stats.max), col->type.scale);
   }
 
   std::string AggregateList() {

@@ -1,6 +1,8 @@
 #include "sql/logical.h"
 
+#include "common/check.h"
 #include "runtime/types.h"
+#include "sql/error.h"
 
 namespace vcq::sql {
 namespace {
@@ -32,6 +34,37 @@ bool ScalarEqual(const Scalar& a, const Scalar& b) {
   for (size_t i = 0; i < a.args.size(); ++i)
     if (!ScalarEqual(a.args[i], b.args[i])) return false;
   return true;
+}
+
+int64_t CheckedArith(ScalarOp op, int64_t a, int64_t b, ast::Pos pos) {
+  int64_t v = 0;
+  bool overflow = false;
+  switch (op) {
+    case ScalarOp::kAdd:
+      overflow = __builtin_add_overflow(a, b, &v);
+      break;
+    case ScalarOp::kSub:
+      overflow = __builtin_sub_overflow(a, b, &v);
+      break;
+    case ScalarOp::kMul:
+      overflow = __builtin_mul_overflow(a, b, &v);
+      break;
+    default:
+      VCQ_CHECK_MSG(false, "not an arithmetic operator");
+  }
+  if (overflow)
+    internal::Fail(pos.line, pos.col,
+                   "integer overflow in constant expression");
+  return v;
+}
+
+int64_t EvalConst(const Scalar& s) {
+  if (s.op == ScalarOp::kConst) return s.value;
+  VCQ_CHECK_MSG(s.op == ScalarOp::kAdd || s.op == ScalarOp::kSub ||
+                    s.op == ScalarOp::kMul,
+                "not a constant expression");
+  return CheckedArith(s.op, EvalConst(s.args[0]), EvalConst(s.args[1]),
+                      s.pos);
 }
 
 const char* CmpOpName(CmpOp op) {

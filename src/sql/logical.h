@@ -58,6 +58,15 @@ struct Scalar {
 
 bool ScalarEqual(const Scalar& a, const Scalar& b);
 
+/// `a op b` for op in {kAdd, kSub, kMul}, checked: a result outside int64
+/// throws a SqlError positioned at `pos` ("integer overflow in constant
+/// expression") instead of wrapping.
+int64_t CheckedArith(ScalarOp op, int64_t a, int64_t b, ast::Pos pos);
+
+/// Value of a table-free scalar (constants and + - * over them), with
+/// CheckedArith at every node.
+int64_t EvalConst(const Scalar& s);
+
 /// Engine-independent comparison operator (mapped onto
 /// tectorwise::CmpOp / closure predicates by the lowerings).
 enum class CmpOp : uint8_t { kLt, kLe, kGt, kGe, kEq };

@@ -19,8 +19,13 @@
 //   LowerTectorwise  walks the join tree once and emits a
 //                    tectorwise::PlanBuilder DAG (scan → map → select
 //                    chains at each site, hash joins with explicit
-//                    Build/Probe carries, hash group-by or fixed
-//                    aggregation on top). Returns a normal
+//                    Build/Probe carries, a hash group-by [+ HAVING
+//                    select] for each pre-aggregate node, hash group-by
+//                    or fixed aggregation on top — or a plain projection
+//                    when the pre-aggregate's groups are final). Scan,
+//                    select, join and pre-aggregate nodes carry the
+//                    optimizer's row estimates (PlanNode::SetEstimate)
+//                    for EXPLAIN ANALYZE. Returns a normal
 //                    tectorwise::Prepared, so Session treats SQL plans
 //                    exactly like catalog plans (tuning knobs included).
 //

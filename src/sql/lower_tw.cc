@@ -48,6 +48,10 @@ uint64_t CKey(ColumnId id) {
   return (static_cast<uint64_t>(id.table) << 32) | id.col;
 }
 
+/// Needed-set key of aggregate i's partial value, produced by the
+/// pre-aggregate (disjoint from CKey: table indexes are at most 15).
+constexpr uint64_t kAggBit = 1ull << 62;
+
 tectorwise::CmpOp TwCmp(CmpOp op) {
   switch (op) {
     case CmpOp::kLt:
@@ -111,26 +115,6 @@ T ConstOf(const Operand& o) {
     return T::From(o.str);
 }
 
-/// Evaluates a residual constant subtree (present when constant folding is
-/// disabled; same arithmetic as the folder, so plan dumps are the only
-/// observable difference).
-int64_t EvalConst(const Scalar& s) {
-  switch (s.op) {
-    case ScalarOp::kConst:
-      return s.value;
-    case ScalarOp::kAdd:
-      return EvalConst(s.args[0]) + EvalConst(s.args[1]);
-    case ScalarOp::kSub:
-      return EvalConst(s.args[0]) - EvalConst(s.args[1]);
-    case ScalarOp::kMul:
-      return EvalConst(s.args[0]) * EvalConst(s.args[1]);
-    default:
-      break;
-  }
-  VCQ_CHECK_MSG(false, "non-constant scalar in constant context");
-  std::abort();
-}
-
 using SlotGetter = std::function<SqlValue(const Plan::Batch&, size_t)>;
 
 /// Columns available at one point of the DAG, keyed by (table, column).
@@ -138,11 +122,12 @@ struct Env {
   PlanNode* node = nullptr;
   std::unordered_map<uint64_t, ColumnRef> cols;
 
-  ColumnRef Ref(ColumnId id) const {
-    const auto it = cols.find(CKey(id));
+  ColumnRef Ref(uint64_t key) const {
+    const auto it = cols.find(key);
     VCQ_CHECK_MSG(it != cols.end(), "internal: column not carried");
     return it->second;
   }
+  ColumnRef Ref(ColumnId id) const { return Ref(CKey(id)); }
 };
 
 class Lowerer {
@@ -153,13 +138,25 @@ class Lowerer {
   tectorwise::Prepared Run() {
     std::set<uint64_t> needed;
     for (const Scalar& v : q_.values) Collect(v, &needed);
-    for (const Aggregate& a : q_.aggs)
-      if (a.has_arg) Collect(a.arg, &needed);
+    for (size_t i = 0; i < q_.aggs.size(); ++i) {
+      if (pre_agg())
+        needed.insert(kAggBit | i);
+      else if (q_.aggs[i].has_arg)
+        Collect(q_.aggs[i].arg, &needed);
+    }
     Env env = Lower(*p_.root, needed);
-    return q_.aggs.empty() ? Projection(env) : Aggregate_(env);
+    return q_.aggs.empty() || !p_.final_aggregation ? Projection(env)
+                                                    : Aggregate_(env);
   }
 
  private:
+  bool pre_agg() const { return p_.pre_agg_table >= 0; }
+
+  uint32_t TableOf(uint64_t key) const {
+    return key & kAggBit ? static_cast<uint32_t>(p_.pre_agg_table)
+                         : static_cast<uint32_t>(key >> 32);
+  }
+
   std::string Name(const char* prefix) {
     return std::string(prefix) + std::to_string(next_name_++);
   }
@@ -274,6 +271,7 @@ class Lowerer {
   /// Applies a tree node's filters: one Map for the compound left-hand
   /// sides, then one Select with every conjunct.
   void ApplyFilters(const JoinTree& t, Env* env) {
+    env->node->SetEstimate(t.est_unfiltered);
     if (t.filters.empty()) return;
     MapNode* map = nullptr;
     std::vector<ColumnRef> lhs(t.filters.size());
@@ -300,10 +298,85 @@ class Lowerer {
         AddPredT<T>(sel, env->Ref(p.lhs.col), p);
       });
     }
+    sel.SetEstimate(t.est_rows);
     env->node = &sel;
   }
 
+  /// One aggregate of a hash group-by over `arg` (an int64 column; unused
+  /// for COUNT). `partial` = `arg` already holds per-group partial values
+  /// from the pre-aggregate, so COUNT re-aggregates as their SUM.
+  ColumnRef GroupAgg(tectorwise::GroupNode& group, ast::AggFn fn,
+                     ColumnRef arg, bool partial) {
+    switch (fn) {
+      case ast::AggFn::kSum:
+        return group.Sum(arg);
+      case ast::AggFn::kCount:
+        return partial ? group.Sum(arg) : group.Count();
+      case ast::AggFn::kMin:
+        return group.Min(arg);
+      case ast::AggFn::kMax:
+        return group.Max(arg);
+      case ast::AggFn::kAvg:
+        break;
+    }
+    VCQ_CHECK_MSG(false, "AVG is lowered to SUM/COUNT by the binder");
+    std::abort();
+  }
+
+  /// HAVING as a Select over the aggregate outputs `aggs`.
+  SelectNode& Having(PlanNode& input, const std::vector<ColumnRef>& aggs) {
+    auto& hsel = pb_.Select(input);
+    for (const HavingPred& h : q_.having) {
+      if (h.rhs.is_param)
+        hsel.CmpParam<int64_t>(aggs[h.agg], TwCmp(h.cmp), h.rhs.param);
+      else
+        hsel.Cmp<int64_t>(aggs[h.agg], TwCmp(h.cmp), h.rhs.num);
+    }
+    return hsel;
+  }
+
+  /// Eager aggregation: groups the input on the node's group keys and
+  /// exposes the keys (under their column ids) and one partial value per
+  /// aggregate (under kAggBit | i).
+  Env LowerPreAgg(const JoinTree& t) {
+    std::set<uint64_t> need;
+    for (const ColumnId& k : t.group_keys) need.insert(CKey(k));
+    for (const sql::Aggregate& a : q_.aggs)
+      if (a.has_arg) Collect(a.arg, &need);
+    Env in = Lower(*t.input, need);
+    MapNode* map = nullptr;
+    std::vector<ColumnRef> args(q_.aggs.size());
+    for (size_t i = 0; i < q_.aggs.size(); ++i) {
+      if (!q_.aggs[i].has_arg) continue;
+      if (map == nullptr) map = &pb_.Map(*in.node);
+      args[i] = LowerNumeric(*map, in, q_.aggs[i].arg);
+    }
+    auto& group =
+        pb_.HashGroup(map != nullptr ? static_cast<PlanNode&>(*map) : *in.node);
+    Env env;
+    for (const ColumnId& k : t.group_keys) {
+      env.cols.emplace(CKey(k), WithPhys(q_.Column(k), [&](auto* tp) {
+                         using T = std::remove_pointer_t<decltype(tp)>;
+                         return group.Key<T>(in.Ref(k));
+                       }));
+    }
+    std::vector<ColumnRef> outs;
+    for (size_t i = 0; i < q_.aggs.size(); ++i) {
+      outs.push_back(GroupAgg(group, q_.aggs[i].fn, args[i], false));
+      env.cols.emplace(kAggBit | i, outs.back());
+    }
+    group.SetEstimate(t.est_unfiltered);
+    env.node = &group;
+    if (t.having) {
+      SelectNode& hsel = Having(group, outs);
+      hsel.SetEstimate(t.est_rows);
+      env.node = &hsel;
+    }
+    return env;
+  }
+
   Env Lower(const JoinTree& t, const std::set<uint64_t>& needed_above) {
+    if (t.IsPreAgg()) return LowerPreAgg(t);
     std::set<uint64_t> needed = needed_above;
     for (uint32_t f : t.filters) Collect(q_.filters[f].lhs, &needed);
 
@@ -327,10 +400,8 @@ class Lowerer {
 
     std::set<uint64_t> bneed;
     std::set<uint64_t> pneed;
-    for (const uint64_t key : needed) {
-      const uint32_t table = static_cast<uint32_t>(key >> 32);
-      ((t.build->mask >> table) & 1 ? bneed : pneed).insert(key);
-    }
+    for (const uint64_t key : needed)
+      ((t.build->mask >> TableOf(key)) & 1 ? bneed : pneed).insert(key);
     // keys[i] = {build column, probe column} (optimizer orientation).
     for (const auto& k : t.keys) {
       bneed.insert(CKey(k[0]));
@@ -352,15 +423,19 @@ class Lowerer {
     Env env;
     env.node = &join;
     for (const uint64_t key : needed) {
+      const bool from_build = (t.build->mask >> TableOf(key)) & 1;
+      const auto carry = [&](auto* tp) {
+        using T = std::remove_pointer_t<decltype(tp)>;
+        return from_build ? join.Build<T>(benv.Ref(key))
+                          : join.Probe<T>(penv.Ref(key));
+      };
+      if (key & kAggBit) {
+        env.cols.emplace(key, carry(static_cast<int64_t*>(nullptr)));
+        continue;
+      }
       const ColumnId id{static_cast<uint32_t>(key >> 32),
                         static_cast<uint32_t>(key)};
-      const ColumnDef& col = q_.Column(id);
-      const bool from_build = (t.build->mask >> id.table) & 1;
-      env.cols.emplace(key, WithPhys(col, [&](auto* tp) {
-                         using T = std::remove_pointer_t<decltype(tp)>;
-                         return from_build ? join.Build<T>(benv.Ref(id))
-                                           : join.Probe<T>(penv.Ref(id));
-                       }));
+      env.cols.emplace(key, WithPhys(q_.Column(id), carry));
     }
     ApplyFilters(t, &env);
     return env;
@@ -445,6 +520,13 @@ class Lowerer {
       refs.push_back(ref);
       getters.push_back(std::move(get));
     }
+    // Final groups are pre-aggregated rows: each aggregate is its partial.
+    if (!p_.final_aggregation) {
+      for (size_t i = 0; i < q_.aggs.size(); ++i) {
+        refs.push_back(env.Ref(kAggBit | i));
+        getters.push_back(NumGetter<int64_t>(refs.back()));
+      }
+    }
     PlanNode& root = map != nullptr ? static_cast<PlanNode&>(*map) : *env.node;
     return Gather(root, std::move(refs), std::move(getters));
   }
@@ -457,11 +539,14 @@ class Lowerer {
       if (map == nullptr) map = &pb_.Map(*env.node);
       return *map;
     };
+    // Over a pre-aggregate, every aggregate re-aggregates its partial.
     std::vector<ColumnRef> arg_refs(q_.aggs.size());
     for (size_t i = 0; i < q_.aggs.size(); ++i) {
       const sql::Aggregate& a = q_.aggs[i];
-      if (!a.has_arg) continue;
-      arg_refs[i] = LowerNumeric(ensure_map(), env, a.arg);
+      if (pre_agg())
+        arg_refs[i] = env.Ref(kAggBit | i);
+      else if (a.has_arg)
+        arg_refs[i] = LowerNumeric(ensure_map(), env, a.arg);
     }
 
     if (!q_.grouped) {
@@ -479,7 +564,8 @@ class Lowerer {
             refs.push_back(agg.Sum(arg_refs[i], Name("a")));
             break;
           case ast::AggFn::kCount:
-            refs.push_back(agg.Count(Name("a")));
+            refs.push_back(pre_agg() ? agg.Sum(arg_refs[i], Name("a"))
+                                     : agg.Count(Name("a")));
             break;
           case ast::AggFn::kMin:
             refs.push_back(agg.Min(arg_refs[i], Name("a")));
@@ -569,38 +655,13 @@ class Lowerer {
     }
     std::vector<ColumnRef> agg_outs(q_.aggs.size());
     for (size_t i = 0; i < q_.aggs.size(); ++i) {
-      const sql::Aggregate& a = q_.aggs[i];
-      switch (a.fn) {
-        case ast::AggFn::kSum:
-          agg_outs[i] = group.Sum(arg_refs[i]);
-          break;
-        case ast::AggFn::kCount:
-          agg_outs[i] = group.Count();
-          break;
-        case ast::AggFn::kMin:
-          agg_outs[i] = group.Min(arg_refs[i]);
-          break;
-        case ast::AggFn::kMax:
-          agg_outs[i] = group.Max(arg_refs[i]);
-          break;
-        case ast::AggFn::kAvg:
-          VCQ_CHECK_MSG(false, "AVG is lowered to SUM/COUNT by the binder");
-      }
+      agg_outs[i] = GroupAgg(group, q_.aggs[i].fn, arg_refs[i], pre_agg());
       refs.push_back(agg_outs[i]);
       getters.push_back(NumGetter<int64_t>(agg_outs[i]));
     }
 
     PlanNode* root = &group;
-    if (!q_.having.empty()) {
-      auto& hsel = pb_.Select(group);
-      for (const HavingPred& h : q_.having) {
-        if (h.rhs.is_param)
-          hsel.CmpParam<int64_t>(agg_outs[h.agg], TwCmp(h.cmp), h.rhs.param);
-        else
-          hsel.Cmp<int64_t>(agg_outs[h.agg], TwCmp(h.cmp), h.rhs.num);
-      }
-      root = &hsel;
-    }
+    if (!q_.having.empty()) root = &Having(group, agg_outs);
     return Gather(*root, std::move(refs), std::move(getters));
   }
 

@@ -52,9 +52,11 @@ using volcano::ScanOp;
 using volcano::SelectOp;
 
 /// Needed-set keys: column keys are (table << 32 | col); string-predicate
-/// pseudo-slots are (kPredBit | filter index). Disjoint since table
-/// indexes are at most 15.
+/// pseudo-slots are (kPredBit | filter index); the pre-aggregate's partial
+/// value of aggregate i is (kAggBit | i). Disjoint since table indexes are
+/// at most 15.
 constexpr uint64_t kPredBit = 1ull << 63;
+constexpr uint64_t kAggBit = 1ull << 62;
 
 uint64_t CKey(ColumnId id) {
   return (static_cast<uint64_t>(id.table) << 32) | id.col;
@@ -166,13 +168,17 @@ class Lowerer {
   QueryResult Run(VolcanoStats* stats) {
     std::set<uint64_t> needed;
     for (const Scalar& v : q_.values) Collect(v, &needed);
-    for (const Aggregate& a : q_.aggs)
-      if (a.has_arg) Collect(a.arg, &needed);
+    for (size_t i = 0; i < q_.aggs.size(); ++i) {
+      if (pre_agg())
+        needed.insert(kAggBit | i);
+      else if (q_.aggs[i].has_arg)
+        Collect(q_.aggs[i].arg, &needed);
+    }
     VEnv env = Lower(*p_.root, std::move(needed));
 
     const ResultSpec spec = SpecFor(q_);
     std::vector<SqlRow> rows;
-    if (q_.aggs.empty())
+    if (q_.aggs.empty() || !p_.final_aggregation)
       Project(std::move(env), &rows);
     else if (q_.grouped)
       Group(std::move(env), &rows);
@@ -205,7 +211,10 @@ class Lowerer {
     return o.is_param ? params_.Str(o.param) : o.str;
   }
 
+  bool pre_agg() const { return p_.pre_agg_table >= 0; }
+
   uint32_t TableOf(uint64_t key) const {
+    if (key & kAggBit) return static_cast<uint32_t>(p_.pre_agg_table);
     if (key & kPredBit)
       return q_.filters[static_cast<uint32_t>(key)].lhs.col.table;
     return static_cast<uint32_t>(key >> 32);
@@ -380,7 +389,67 @@ class Lowerer {
       else
         Collect(p.lhs, &needed);
     }
+    if (t.IsPreAgg()) return PreAgg(t);
     return t.IsLeaf() ? Leaf(t, needed) : Join(t, needed);
+  }
+
+  static GroupByOp::AggOp AggOpFor(ast::AggFn fn, bool partial) {
+    switch (fn) {
+      case ast::AggFn::kSum:
+        return GroupByOp::AggOp::kSum;
+      case ast::AggFn::kCount:
+        return partial ? GroupByOp::AggOp::kSum : GroupByOp::AggOp::kCount;
+      case ast::AggFn::kMin:
+        return GroupByOp::AggOp::kMin;
+      case ast::AggFn::kMax:
+        return GroupByOp::AggOp::kMax;
+      case ast::AggFn::kAvg:
+        break;
+    }
+    VCQ_CHECK_MSG(false, "AVG is lowered to SUM/COUNT by the binder");
+    std::abort();
+  }
+
+  /// Eager aggregation: groups the input on the node's group keys; output
+  /// slots are the keys (under their column keys), then one partial value
+  /// per aggregate (under kAggBit | i), HAVING applied when pushed here.
+  VEnv PreAgg(const JoinTree& t) {
+    std::set<uint64_t> need;
+    for (const ColumnId& k : t.group_keys) need.insert(CKey(k));
+    for (const Aggregate& a : q_.aggs)
+      if (a.has_arg) Collect(a.arg, &need);
+    VEnv in = Lower(*t.input, std::move(need));
+    auto proj = std::make_unique<ProjectOp>(std::move(in.op));
+    std::vector<size_t> args(q_.aggs.size(), SIZE_MAX);
+    for (size_t i = 0; i < q_.aggs.size(); ++i)
+      if (q_.aggs[i].has_arg) args[i] = proj->AddExpr(Eval(q_.aggs[i].arg, in));
+    std::vector<size_t> key_slots;
+    for (const ColumnId& k : t.group_keys) key_slots.push_back(in.Slot(k));
+    auto group = std::make_unique<GroupByOp>(std::move(proj), key_slots);
+    VEnv env;
+    for (size_t i = 0; i < t.group_keys.size(); ++i)
+      env.slots[CKey(t.group_keys[i])] = i;
+    for (size_t i = 0; i < q_.aggs.size(); ++i)
+      env.slots[kAggBit | i] =
+          group->AddAggOp(AggOpFor(q_.aggs[i].fn, false), args[i]);
+    env.op = std::move(group);
+    if (t.having) {
+      struct Check {
+        size_t slot;
+        CmpOp cmp;
+        int64_t rhs;
+      };
+      std::vector<Check> checks;
+      for (const HavingPred& h : q_.having)
+        checks.push_back({env.Slot(kAggBit | h.agg), h.cmp, NumOperand(h.rhs)});
+      env.op = std::make_unique<SelectOp>(
+          std::move(env.op), [checks](const Row& r) {
+            for (const Check& c : checks)
+              if (!CmpApply(c.cmp, r[c.slot], c.rhs)) return false;
+            return true;
+          });
+    }
+    return env;
   }
 
   VEnv Leaf(const JoinTree& t, const std::set<uint64_t>& needed) {
@@ -516,13 +585,20 @@ class Lowerer {
             [](int64_t x) { return SqlValue::Num(x); });
       }
     }
+    // Final groups are pre-aggregated rows: each aggregate is its partial.
+    std::vector<size_t> partials;
+    if (!p_.final_aggregation)
+      for (size_t i = 0; i < q_.aggs.size(); ++i)
+        partials.push_back(env.Slot(kAggBit | i));
     env.op->Open();
     Row row;
     while (env.op->Next(&row)) {
       SqlRow out;
-      out.reserve(fns.size());
+      out.reserve(fns.size() + partials.size());
       for (size_t i = 0; i < fns.size(); ++i)
         out.push_back(decode[i](fns[i](row)));
+      for (const size_t slot : partials)
+        out.push_back(SqlValue::Num(row[slot]));
       rows->push_back(std::move(out));
     }
   }
@@ -550,6 +626,10 @@ class Lowerer {
     std::vector<size_t> arg_slots(q_.aggs.size(), SIZE_MAX);
     for (size_t i = 0; i < q_.aggs.size(); ++i) {
       const Aggregate& a = q_.aggs[i];
+      if (pre_agg()) {
+        arg_slots[i] = env.Slot(kAggBit | i);
+        continue;
+      }
       if (!a.has_arg) continue;
       if (a.arg.IsColumn()) {
         arg_slots[i] = env.Slot(a.arg.col);
@@ -559,24 +639,8 @@ class Lowerer {
       }
     }
     auto group = std::make_unique<GroupByOp>(std::move(op), key_slots);
-    for (size_t i = 0; i < q_.aggs.size(); ++i) {
-      switch (q_.aggs[i].fn) {
-        case ast::AggFn::kSum:
-          group->AddAggOp(GroupByOp::AggOp::kSum, arg_slots[i]);
-          break;
-        case ast::AggFn::kCount:
-          group->AddAggOp(GroupByOp::AggOp::kCount);
-          break;
-        case ast::AggFn::kMin:
-          group->AddAggOp(GroupByOp::AggOp::kMin, arg_slots[i]);
-          break;
-        case ast::AggFn::kMax:
-          group->AddAggOp(GroupByOp::AggOp::kMax, arg_slots[i]);
-          break;
-        case ast::AggFn::kAvg:
-          VCQ_CHECK_MSG(false, "AVG is lowered to SUM/COUNT by the binder");
-      }
-    }
+    for (size_t i = 0; i < q_.aggs.size(); ++i)
+      group->AddAggOp(AggOpFor(q_.aggs[i].fn, pre_agg()), arg_slots[i]);
 
     std::vector<std::function<SqlValue(const Row&, size_t)>> decode;
     for (const Scalar& v : q_.values) decode.push_back(Decoder(v, env));
@@ -608,7 +672,12 @@ class Lowerer {
     std::vector<int64_t> acc(q_.aggs.size());
     for (size_t i = 0; i < q_.aggs.size(); ++i) {
       const Aggregate& a = q_.aggs[i];
-      if (a.has_arg) fns[i] = Eval(a.arg, env);
+      if (pre_agg()) {
+        const size_t slot = env.Slot(kAggBit | i);
+        fns[i] = [slot](const Row& r) { return r[slot]; };
+      } else if (a.has_arg) {
+        fns[i] = Eval(a.arg, env);
+      }
       acc[i] = a.fn == ast::AggFn::kMin   ? INT64_MAX
                : a.fn == ast::AggFn::kMax ? INT64_MIN
                                           : 0;
@@ -622,7 +691,7 @@ class Lowerer {
             acc[i] += fns[i](row);
             break;
           case ast::AggFn::kCount:
-            ++acc[i];
+            acc[i] += pre_agg() ? fns[i](row) : 1;
             break;
           case ast::AggFn::kMin:
             acc[i] = std::min(acc[i], fns[i](row));

@@ -19,6 +19,10 @@ uint64_t CompiledQuery::ScannedTuples() const {
       total += plan_.query.Table(static_cast<uint32_t>(t.table)).tuple_count;
       return;
     }
+    if (t.IsPreAgg()) {
+      walk(*t.input);
+      return;
+    }
     walk(*t.build);
     walk(*t.probe);
   };

@@ -647,6 +647,7 @@ std::vector<Plan::NodeInfo> Plan::Describe() const {
     for (const PlanNode* child : node->children_)
       info.children.push_back(child->index_);
     info.details = node->details_;
+    info.est_rows = node->est_rows_;
     std::set<uint32_t> seen;
     for (const uint32_t id : node->consumed_) {
       if (seen.insert(id).second) info.consumes.push_back(columns_[id].name);
@@ -742,9 +743,14 @@ std::string ExplainAnalyzeTree(const Plan& plan,
         out += "#" + std::to_string(index) + " " + info.label;
         if (role[0] != '\0') out += std::string(" [") + role + "]";
         char buf[160];
-        std::snprintf(buf, sizeof(buf),
-                      "  rows=%llu batches=%llu self=%s (%.1f ns/tuple)",
-                      static_cast<unsigned long long>(stats.rows),
+        std::snprintf(buf, sizeof(buf), "  rows=%llu",
+                      static_cast<unsigned long long>(stats.rows));
+        out += buf;
+        if (info.est_rows >= 0) {
+          std::snprintf(buf, sizeof(buf), " est=%.0f", info.est_rows);
+          out += buf;
+        }
+        std::snprintf(buf, sizeof(buf), " batches=%llu self=%s (%.1f ns/tuple)",
                       static_cast<unsigned long long>(stats.batches),
                       FmtMs(self_ns).c_str(),
                       static_cast<double>(self_ns) /

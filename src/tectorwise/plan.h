@@ -197,6 +197,11 @@ class PlanNode {
   uint32_t index() const { return index_; }
   const std::string& label() const { return label_; }
 
+  /// Records a planner's estimate of this node's output rows (SQL
+  /// lowering sets it from the optimizer); EXPLAIN ANALYZE prints it as
+  /// est= beside the measured rows=.
+  void SetEstimate(double rows) { est_rows_ = rows; }
+
  protected:
   PlanNode(PlanBuilder* builder, NodeKind kind, std::string label)
       : builder_(builder), kind_(kind), label_(std::move(label)) {}
@@ -241,6 +246,7 @@ class PlanNode {
   int parent_ = -1;
   std::vector<uint32_t> consumed_;
   std::vector<std::string> details_;
+  double est_rows_ = -1;  // < 0: no estimate
 
  private:
   friend class Plan;
@@ -917,6 +923,8 @@ class Plan {
     /// Select nodes only: column names whose compaction registration was
     /// derived from slot usage.
     std::vector<std::string> compacts;
+    /// Estimated output rows (PlanNode::SetEstimate), < 0 when none.
+    double est_rows = -1;
   };
   std::vector<NodeInfo> Describe() const;
 
@@ -950,6 +958,7 @@ class Plan {
 /// EXPLAIN ANALYZE rendering: the plan's Describe() tree annotated with
 /// the measured per-node stats a traced run recorded (runtime/trace.h) —
 /// output rows, batches, inclusive and self ns/tuple, batch density,
+/// the planner's estimated rows where the plan carries them (SQL plans),
 /// join build/probe wall split (from the trace's embedded NodeTelemetry,
 /// the same numbers the tuner learns from), and spill bytes per node.
 /// `vector_size` is the run's vector size (density denominator).

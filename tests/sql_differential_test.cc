@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
@@ -12,10 +13,12 @@
 #include "runtime/options.h"
 #include "runtime/params.h"
 #include "runtime/query_result.h"
+#include "runtime/trace.h"
 #include "sql/catalog.h"
 #include "sql/fuzz.h"
 #include "sql/reference_queries.h"
 #include "sql/sql.h"
+#include "tectorwise/plan.h"
 
 // The SQL front door's strongest guarantee: for every query of the studied
 // workload, the hand-written SQL text (sql/reference_queries.h) prepared
@@ -23,7 +26,9 @@
 // catalog's hand-built plans — on Tectorwise at 1 and 8 threads and on the
 // Volcano interpreter, under the spec-default parameter bindings. On top
 // of that, a seeded random-query sweep (sql/fuzz.h) differentially tests
-// the two lowerings against each other far outside the nine fixed shapes.
+// the optimized Tectorwise plan against an unrewritten Volcano oracle far
+// outside the nine fixed shapes, and the optimizer's join estimates are
+// checked against measured join output.
 
 namespace vcq {
 namespace {
@@ -103,6 +108,44 @@ INSTANTIATE_TEST_SUITE_P(AllNine, SqlWorkloadTest,
                            return n;
                          });
 
+// Estimates are tested, not trusted: every hash join of the SQL Q9 and
+// SSB-Q3.1 plans must produce within 10x of the rows the optimizer
+// estimated for it (q-error ≤ 10), read off a traced Tectorwise run. This
+// guards the key-aware join estimate — before it, Q9's composite-key
+// partsupp ⋈ lineitem was estimated at 1/250 of its output.
+TEST(SqlEstimateTest, JoinQErrorAtMostTenOnQ9AndSsbQ31) {
+  for (const char* name : {"Q9", "SSB-Q3.1"}) {
+    const QueryInfo* info = FindQuery(name);
+    ASSERT_NE(info, nullptr) << name;
+    sql::CompileResult c = sql::Compile(
+        sql::MakeCatalog(DbFor(info->workload)), sql::SqlTextFor(name));
+    ASSERT_TRUE(c.ok()) << name;
+    const tectorwise::Prepared prepared = c.query->LowerTectorwise();
+    runtime::QueryTrace trace;
+    QueryOptions opt;
+    opt.threads = 2;
+    opt.trace = runtime::TraceLevel::kSpans;
+    opt.trace_sink = &trace;
+    opt.telemetry = &trace.node_telemetry();
+    ASSERT_TRUE(prepared.Run(opt, DefaultParams(info->query)).ok()) << name;
+    const auto nodes = prepared.plan().Describe();
+    size_t joins = 0;
+    for (uint32_t i = 0; i < nodes.size(); ++i) {
+      if (nodes[i].kind != tectorwise::NodeKind::kHashJoin) continue;
+      ++joins;
+      const double est = nodes[i].est_rows;
+      ASSERT_GT(est, 0) << name << " join #" << i << " carries no estimate";
+      const double actual =
+          std::max<double>(1, static_cast<double>(trace.OperatorAt(i).rows));
+      EXPECT_LE(std::max(est / actual, actual / est), 10.0)
+          << name << " join #" << i << ": est=" << est
+          << " actual=" << actual << "\n"
+          << c.query->ExplainOptimized();
+    }
+    EXPECT_GE(joins, 3u) << name;
+  }
+}
+
 /// Seeds come from a fixed base so failures reproduce; override the sweep
 /// size with VCQ_SQL_FUZZ_N (the CI smoke uses the sql_fuzz example
 /// instead, which exposes --seed/--n).
@@ -112,27 +155,40 @@ size_t FuzzCount(size_t fallback) {
   return static_cast<size_t>(std::strtoull(env, nullptr, 10));
 }
 
+/// Tectorwise runs the fully optimized plan; the Volcano oracle runs the
+/// same text compiled without join ordering and eager aggregation, so a
+/// wrong rewrite cannot hide behind a plan both backends share.
 void FuzzSweep(const Database& db, uint64_t seed_base, size_t count) {
   auto catalog = sql::MakeCatalog(db);
   size_t compiled = 0;
+  size_t eager = 0;
   for (uint64_t seed = seed_base; seed < seed_base + count; ++seed) {
     const std::string text = sql::GenerateFuzzQuery(*catalog, seed);
     sql::CompileResult c = sql::Compile(catalog, text);
-    ASSERT_TRUE(c.ok()) << "seed " << seed << " failed to compile:\n"
-                        << text << "\n"
-                        << (c.error ? c.error->Format() : "");
+    sql::CompileResult oracle =
+        sql::Compile(catalog, text, sql::kFuzzOracleOptions);
+    ASSERT_TRUE(c.ok() && oracle.ok())
+        << "seed " << seed << " failed to compile:\n"
+        << text << "\n"
+        << (c.error ? c.error->Format() : "");
     ++compiled;
+    if (c.query->plan().pre_agg_table >= 0) ++eager;
+    ASSERT_LT(oracle.query->plan().pre_agg_table, 0);
     QueryOptions opt;
     opt.threads = (seed % 2 == 0) ? 1 : 4;
     const QueryResult tw = c.query->LowerTectorwise().Run(opt, {});
     QueryOptions vopt;
     vopt.threads = 1;
-    const QueryResult volcano = c.query->RunVolcano(vopt, {});
-    ASSERT_EQ(tw, volcano) << "seed " << seed << " diverged:\n" << text;
+    const QueryResult volcano = oracle.query->RunVolcano(vopt, {});
+    ASSERT_EQ(tw, volcano) << "seed " << seed << " diverged:\n"
+                           << text << "\n-- plan under test --\n"
+                           << c.query->ExplainOptimized();
   }
   // Every seed must yield a usable query — the generator has no reject
   // path, so a drop here means it left the supported subset.
   EXPECT_EQ(compiled, count);
+  // The sweep must exercise eager aggregation, or it says nothing about it.
+  EXPECT_GT(eager, 0u);
 }
 
 TEST(SqlFuzzDifferentialTest, TpchSeededSweep) {

@@ -26,6 +26,11 @@
 //    Tectorwise lowering and the Volcano interpreter;
 //  - the optimizer's pushdown + join ordering strictly reduce plan cost on
 //    join queries with an adversarial FROM order;
+//  - constant arithmetic that overflows int64 is a positioned compile
+//    error on every path (binder, rescale, folding), never a wrapped value;
+//  - the catalog trusts only verified keys, and eager aggregation returns
+//    the same rows as the plain plan whether or not it drops the final
+//    aggregation;
 //  - EXPLAIN exposes all four stages.
 
 namespace vcq {
@@ -125,6 +130,206 @@ TEST(SqlCompileErrorTest, PositionPointsAtOffendingToken) {
   EXPECT_EQ(r.error->line, 2u);
   EXPECT_EQ(r.error->col, 8u);
   EXPECT_NE(r.error->Format().find("2:8"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Checked constant arithmetic
+// ---------------------------------------------------------------------------
+
+struct OverflowCase {
+  const char* path;
+  const char* sql;
+  const char* token;  // the diagnostic points at its first occurrence
+};
+
+TEST(SqlOverflowTest, ConstantOverflowIsAPositionedError) {
+  const OverflowCase cases[] = {
+      // A predicate bound the binder evaluates.
+      {"binder",
+       "SELECT COUNT(*) AS n FROM lineitem "
+       "WHERE l_orderkey < 4000000000 * 4000000000",
+       "* 4000000000"},
+      // A scale-0 bound raised to l_discount's scale 2 (×100).
+      {"rescale",
+       "SELECT COUNT(*) AS n FROM lineitem "
+       "WHERE l_discount < 100000000000000000",
+       "100000000000000000"},
+      // A constant subtree inside a column expression, which the optimizer
+      // folds (or, with folding off, still evaluates for the lowerings).
+      {"folding",
+       "SELECT SUM(l_quantity + 4000000000 * 4000000000) AS s FROM lineitem",
+       "* 4000000000"},
+  };
+  for (const OverflowCase& c : cases) {
+    for (const bool fold : {true, false}) {
+      sql::OptimizerOptions opt;
+      opt.fold_constants = fold;
+      sql::CompileResult r = CompileTpch(c.sql, opt);
+      ASSERT_FALSE(r.ok()) << c.path << ": " << c.sql;
+      EXPECT_NE(r.error->message.find("integer overflow"), std::string::npos)
+          << c.path << " -> " << r.error->Format();
+      EXPECT_EQ(r.error->line, 1u) << c.path;
+      EXPECT_EQ(r.error->col, std::string_view(c.sql).find(c.token) + 1)
+          << c.path << " -> " << r.error->Format();
+    }
+  }
+  // Large values that fit stay legal on the same paths.
+  for (const char* ok :
+       {"SELECT COUNT(*) AS n FROM lineitem WHERE l_orderkey < 4000000000 * 2",
+        "SELECT COUNT(*) AS n FROM lineitem WHERE l_discount < 10000000000",
+        "SELECT SUM(l_quantity + 4000000000 * 2) AS s FROM lineitem"}) {
+    EXPECT_TRUE(CompileTpch(ok).ok()) << ok;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Keys and eager aggregation
+// ---------------------------------------------------------------------------
+
+std::vector<std::string> KeyNames(const sql::TableDef& t) {
+  std::vector<std::string> out;
+  for (const uint32_t k : t.key) out.push_back(t.columns[k].name);
+  return out;
+}
+
+TEST(SqlCatalogTest, DeclaredKeysAreVerified) {
+  const sql::Catalog& cat = *TpchCatalog();
+  using V = std::vector<std::string>;
+  EXPECT_EQ(KeyNames(*cat.Find("orders")), V{"o_orderkey"});
+  EXPECT_EQ(KeyNames(*cat.Find("customer")), V{"c_custkey"});
+  EXPECT_EQ(KeyNames(*cat.Find("region")), V{"r_regionkey"});
+  EXPECT_EQ(KeyNames(*cat.Find("partsupp")), (V{"ps_partkey", "ps_suppkey"}));
+  EXPECT_TRUE(cat.Find("lineitem")->key.empty());
+}
+
+/// orders ⋈ lineitem over hand-made rows; `dup_key` repeats o_orderkey 2.
+Database SmallOrders(bool dup_key) {
+  Database db;
+  runtime::Relation& o = db.Add("orders");
+  const std::vector<int32_t> okeys =
+      dup_key ? std::vector<int32_t>{1, 2, 2, 3} : std::vector<int32_t>{1, 2, 3, 4};
+  auto ok = o.AddColumn<int32_t>("o_orderkey", okeys.size());
+  auto prio = o.AddColumn<int32_t>("o_shippriority", okeys.size());
+  for (size_t i = 0; i < okeys.size(); ++i) {
+    ok[i] = okeys[i];
+    prio[i] = 0;
+  }
+  runtime::Relation& l = db.Add("lineitem");
+  const std::vector<int32_t> lkeys{1, 1, 2, 3, 3, 3, 4};
+  auto lk = l.AddColumn<int32_t>("l_orderkey", lkeys.size());
+  auto qty = l.AddColumn<int64_t>("l_quantity", lkeys.size());
+  for (size_t i = 0; i < lkeys.size(); ++i) {
+    lk[i] = lkeys[i];
+    qty[i] = 100 * static_cast<int64_t>(i + 1);
+  }
+  return db;
+}
+
+TEST(SqlCatalogTest, DuplicatedKeyIsDroppedAndResultsStayCorrect) {
+  const char* q =
+      "SELECT o_orderkey, o_shippriority, SUM(l_quantity) AS q, "
+      "COUNT(*) AS n FROM orders, lineitem WHERE o_orderkey = l_orderkey "
+      "GROUP BY o_orderkey, o_shippriority HAVING COUNT(*) > 1";
+  for (const bool dup : {false, true}) {
+    const Database db = SmallOrders(dup);
+    const auto catalog = sql::MakeCatalog(db);
+    EXPECT_EQ(catalog->Find("orders")->key.empty(), dup);
+    sql::CompileResult eager = sql::Compile(catalog, q);
+    sql::CompileResult plain =
+        sql::Compile(catalog, q, sql::OptimizerOptions{.eager_aggregation = false});
+    ASSERT_TRUE(eager.ok() && plain.ok());
+    // Only a verified key lets the pre-aggregated rows stand as the final
+    // groups; a duplicated o_orderkey must keep the final aggregation.
+    EXPECT_EQ(eager.query->plan().pre_agg_table >= 0 &&
+                  !eager.query->plan().final_aggregation,
+              !dup)
+        << eager.query->ExplainOptimized();
+    QueryOptions opt;
+    opt.threads = 2;
+    const QueryResult got = eager.query->LowerTectorwise().Run(opt, {});
+    EXPECT_EQ(got, plain.query->RunVolcano(opt, {}));
+    EXPECT_EQ(got, eager.query->RunVolcano(opt, {}));
+    // Order 1: two lines (1.00 + 2.00). With the duplicate, order 2 meets
+    // its single line twice (count 2); order 3 has three lines.
+    std::vector<std::vector<std::string>> want = {{"1", "0", "3.00", "2"}};
+    if (dup) want.push_back({"2", "0", "6.00", "2"});
+    want.push_back({"3", "0", "15.00", "3"});
+    EXPECT_EQ(got.rows, want) << got.ToString(10);
+  }
+}
+
+TEST(SqlOptimizerTest, EagerAggregationMatchesThePlainPlan) {
+  // Each statement aggregates one join input only. The Q18 shape drops the
+  // final aggregation and pushes HAVING down; the others keep a final
+  // aggregation over pre-aggregated partials (COUNT becomes a SUM of
+  // counts, AVG a SUM over a hidden COUNT).
+  struct Case {
+    const char* sql;
+    bool drops_final;
+  };
+  const Case cases[] = {
+      {"SELECT c_name, o_orderkey, SUM(l_quantity) AS q FROM lineitem, "
+       "orders, customer WHERE l_orderkey = o_orderkey AND o_custkey = "
+       "c_custkey GROUP BY c_name, o_orderkey HAVING SUM(l_quantity) > 250",
+       true},
+      {"SELECT EXTRACT(YEAR FROM o_orderdate) AS y, COUNT(*) AS n, "
+       "SUM(l_quantity) AS q, MIN(l_discount) AS lo, MAX(l_tax) AS hi, "
+       "AVG(l_extendedprice) AS p FROM lineitem, orders "
+       "WHERE l_orderkey = o_orderkey "
+       "GROUP BY EXTRACT(YEAR FROM o_orderdate) HAVING COUNT(*) > 10",
+       false},
+      {"SELECT SUM(l_quantity) AS q, COUNT(*) AS n FROM lineitem, orders "
+       "WHERE l_orderkey = o_orderkey",
+       false},
+  };
+  for (const Case& c : cases) {
+    sql::CompileResult eager = CompileTpch(c.sql);
+    sql::CompileResult plain =
+        CompileTpch(c.sql, sql::OptimizerOptions{.eager_aggregation = false});
+    ASSERT_TRUE(eager.ok() && plain.ok()) << c.sql;
+    const sql::PhysicalPlan& plan = eager.query->plan();
+    EXPECT_GE(plan.pre_agg_table, 0) << eager.query->ExplainOptimized();
+    EXPECT_EQ(!plan.final_aggregation, c.drops_final)
+        << eager.query->ExplainOptimized();
+    EXPECT_LT(plain.query->plan().pre_agg_table, 0);
+    const QueryResult reference = plain.query->RunVolcano({}, {});
+    ASSERT_FALSE(reference.rows.empty()) << c.sql;
+    for (const size_t threads : {size_t{1}, size_t{4}}) {
+      QueryOptions opt;
+      opt.threads = threads;
+      EXPECT_EQ(eager.query->LowerTectorwise().Run(opt, {}), reference)
+          << c.sql;
+    }
+    EXPECT_EQ(eager.query->RunVolcano({}, {}), reference) << c.sql;
+  }
+}
+
+TEST(SqlOptimizerTest, ParameterBetweenCountsOnceAtAQuarter) {
+  // A lower and an upper parameter bound on one column are one range
+  // guess (1/4), not two independent 0.3 guesses (0.09).
+  sql::CompileResult c = CompileTpch(
+      "SELECT COUNT(*) AS n FROM orders "
+      "WHERE o_totalprice BETWEEN $lo AND $hi");
+  ASSERT_TRUE(c.ok());
+  const double rows = static_cast<double>(TpchDb()["orders"].tuple_count());
+  EXPECT_DOUBLE_EQ(c.query->plan().root->est_rows, rows / 4);
+  // A one-sided parameter bound keeps the 0.3 guess.
+  sql::CompileResult one = CompileTpch(
+      "SELECT COUNT(*) AS n FROM orders WHERE o_totalprice >= $lo");
+  ASSERT_TRUE(one.ok());
+  EXPECT_DOUBLE_EQ(one.query->plan().root->est_rows, rows * 0.3);
+}
+
+TEST(SqlOptimizerTest, KeyJoinEstimateFollowsTheForeignKeySide) {
+  // partsupp ⋈ lineitem on the composite key: every lineitem row meets
+  // exactly one partsupp row, so the estimate is |lineitem|, not the
+  // product of per-column 1/ndv.
+  sql::CompileResult c = CompileTpch(
+      "SELECT COUNT(*) AS n FROM lineitem, partsupp "
+      "WHERE l_partkey = ps_partkey AND l_suppkey = ps_suppkey");
+  ASSERT_TRUE(c.ok());
+  const double rows = static_cast<double>(TpchDb()["lineitem"].tuple_count());
+  EXPECT_DOUBLE_EQ(c.query->plan().root->est_rows, rows);
 }
 
 TEST(SqlSessionDeathTest, PrepareSqlDiesOnMalformedSql) {
@@ -294,6 +499,22 @@ TEST(SqlExplainTest, AllFourStagesPresent) {
   EXPECT_NE(out.find("-- logical --"), std::string::npos);
   EXPECT_NE(out.find("-- optimized --"), std::string::npos);
   EXPECT_NE(out.find("-- physical (tectorwise) --"), std::string::npos);
+}
+
+TEST(SqlExplainTest, ExplainAnalyzePrintsEstimatesBesideRows) {
+  Session session(TpchDb());
+  PreparedQuery q = session.PrepareSql(
+      "SELECT n_name, COUNT(*) AS n FROM nation, supplier "
+      "WHERE s_nationkey = n_nationkey GROUP BY n_name");
+  const std::string out = q.ExplainAnalyze();
+  // The join's estimate (|supplier|: every supplier has one nation) sits
+  // right after its measured row count.
+  const size_t join = out.find("hash-join");
+  ASSERT_NE(join, std::string::npos) << out;
+  const std::string rows =
+      "rows=" + std::to_string(TpchDb()["supplier"].tuple_count()) + " est=" +
+      std::to_string(TpchDb()["supplier"].tuple_count()) + " ";
+  EXPECT_NE(out.find(rows, join), std::string::npos) << out;
 }
 
 TEST(SqlOptimizerTest, JoinOrderingAndPushdownReduceCost) {
